@@ -15,6 +15,7 @@ import (
 // cycle skipping: every supported configuration must produce a Result
 // and an epoch-sample stream byte-identical to a run that visits every
 // cycle. This is the contract that lets skipping be on by default.
+// TestSkipStreamEquivalence extends it to every observability stream.
 
 // runDiff executes o with skipping enabled and disabled and returns
 // (skip result, full result, skip JSONL, full JSONL, cycles skipped).
@@ -102,6 +103,115 @@ func TestSkipEquivalenceMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			assertIdentical(t, tc.name, tc.opts(t))
+		})
+	}
+}
+
+// runStreams executes o at the given skip setting with the full
+// observability bundle (spans included when spansOn), and returns the
+// Result and every output stream keyed by name. SpanEvery is set low so
+// tiny workloads still sample densely enough to exercise every
+// lifecycle site.
+func runStreams(t *testing.T, o Options, noskip, spansOn bool) (*Result, map[string]string) {
+	t.Helper()
+	oo := o
+	oo.NoCycleSkip = noskip
+	oo.Obs = obs.New(obs.Config{SampleEvery: 512, TraceCapacity: 1 << 14,
+		PFReport: true, CPIStack: true, CPIEpoch: 512,
+		Spans: spansOn, SpanEvery: 8})
+	s, err := New(oo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string]string{}
+	var buf bytes.Buffer
+	if err := oo.Obs.Sampler.WriteJSONL(&buf, map[string]string{"bench": res.Benchmark}); err != nil {
+		t.Fatal(err)
+	}
+	streams["epoch"] = buf.String()
+	buf.Reset()
+	if err := s.PFReport().WriteJSONL(&buf, "run"); err != nil {
+		t.Fatal(err)
+	}
+	streams["pfreport"] = buf.String()
+	buf.Reset()
+	if err := s.CPIStack().WriteJSONL(&buf, "run"); err != nil {
+		t.Fatal(err)
+	}
+	streams["cpistack"] = buf.String()
+	buf.Reset()
+	tw, err := obs.NewTraceWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.AddRun(1, "run", "core", oo.Obs.Tracer); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	streams["trace"] = buf.String()
+	if spansOn {
+		buf.Reset()
+		if err := s.Spans().WriteJSONL(&buf, "run"); err != nil {
+			t.Fatal(err)
+		}
+		streams["spans"] = buf.String()
+	}
+	return res, streams
+}
+
+// TestSkipStreamEquivalence compares skipping against the every-cycle
+// loop with attribution, cycle accounting and tracing all attached, on
+// configurations that reach every stream: prefetch records and
+// throttle-degree events (mthwp-throttle, swp-stride-throttle), filter
+// drops, and the invariant sweep (stride-filter-checks). The Result and
+// the epoch, pfreport, cpistack and Chrome-trace streams must be
+// byte-identical.
+func TestSkipStreamEquivalence(t *testing.T) {
+	cases := []struct {
+		name string
+		opts func(t *testing.T) Options
+	}{
+		{"baseline", func(t *testing.T) Options {
+			return Options{Workload: tiny(t, "monte")}
+		}},
+		{"mthwp-throttle", func(t *testing.T) Options {
+			return Options{Workload: tiny(t, "conv"), Throttle: true,
+				Hardware: func() prefetch.Prefetcher {
+					return prefetch.NewMTHWP(prefetch.MTHWPOptions{EnableGS: true, EnableIP: true})
+				}}
+		}},
+		{"swp-stride-throttle", func(t *testing.T) Options {
+			return Options{Workload: tiny(t, "stream"), Software: swpref.Stride, Throttle: true}
+		}},
+		{"stride-filter-checks", func(t *testing.T) Options {
+			return Options{Workload: tiny(t, "mersenne"), PollutionFilter: true,
+				Checks: true, CheckEvery: 1000,
+				Hardware: func() prefetch.Prefetcher {
+					return prefetch.NewStrideRPT(prefetch.StrideRPTOptions{WarpAware: true})
+				}}
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			o := tc.opts(t)
+			skipRes, skipStreams := runStreams(t, o, false, false)
+			fullRes, fullStreams := runStreams(t, o, true, false)
+			if !reflect.DeepEqual(skipRes, fullRes) {
+				t.Errorf("results diverge with cycle skipping\nskip: %+v\nfull: %+v", skipRes, fullRes)
+			}
+			for name, ref := range fullStreams {
+				if skipStreams[name] != ref {
+					t.Errorf("%s stream diverges with cycle skipping", name)
+				}
+			}
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,8 +17,8 @@ import (
 // This file holds the differential and conservation tests for request
 // span tracing: with -spans off, tracing must be invisible (Result and
 // every other stream byte-identical); with it on, the span stream
-// itself must be byte-identical across shard counts and skip settings,
-// and every sampled request's stamp set must satisfy the per-terminal
+// itself must be byte-identical with and without cycle skipping, and
+// every sampled request's stamp set must satisfy the per-terminal
 // conservation rules under Options.Checks.
 
 // spanConfigs is the matrix the differential groups sweep: baseline
@@ -47,65 +46,6 @@ func spanConfigs(t *testing.T) []struct {
 	}
 }
 
-// runSpans executes o at the given shard count and skip setting with
-// the full observability bundle (spans included when spansOn), and
-// returns the Result and every output stream keyed by name. SpanEvery
-// is set low so tiny workloads still sample densely enough to exercise
-// every lifecycle site.
-func runSpans(t *testing.T, o Options, shards int, noskip, spansOn bool) (*Result, map[string]string) {
-	t.Helper()
-	oo := o
-	oo.Shards = shards
-	oo.NoCycleSkip = noskip
-	oo.Obs = obs.New(obs.Config{SampleEvery: 512, TraceCapacity: 1 << 14,
-		PFReport: true, CPIStack: true, CPIEpoch: 512,
-		Spans: spansOn, SpanEvery: 8})
-	s, err := New(oo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := map[string]string{}
-	var buf bytes.Buffer
-	if err := oo.Obs.Sampler.WriteJSONL(&buf, map[string]string{"bench": res.Benchmark}); err != nil {
-		t.Fatal(err)
-	}
-	streams["epoch"] = buf.String()
-	buf.Reset()
-	if err := s.PFReport().WriteJSONL(&buf, "run"); err != nil {
-		t.Fatal(err)
-	}
-	streams["pfreport"] = buf.String()
-	buf.Reset()
-	if err := s.CPIStack().WriteJSONL(&buf, "run"); err != nil {
-		t.Fatal(err)
-	}
-	streams["cpistack"] = buf.String()
-	buf.Reset()
-	tw, err := obs.NewTraceWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.AddRun(1, "run", "core", oo.Obs.Tracer); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	streams["trace"] = buf.String()
-	if spansOn {
-		buf.Reset()
-		if err := s.Spans().WriteJSONL(&buf, "run"); err != nil {
-			t.Fatal(err)
-		}
-		streams["spans"] = buf.String()
-	}
-	return res, streams
-}
-
 // TestSpansOffInvisible is the zero-cost contract: enabling span
 // tracing must change nothing the simulation itself produces. Each
 // configuration runs twice with identical observability except
@@ -116,8 +56,8 @@ func TestSpansOffInvisible(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			offRes, offStreams := runSpans(t, tc.opts, 1, false, false)
-			onRes, onStreams := runSpans(t, tc.opts, 1, false, true)
+			offRes, offStreams := runStreams(t, tc.opts, false, false)
+			onRes, onStreams := runStreams(t, tc.opts, false, true)
 			if !reflect.DeepEqual(offRes, onRes) {
 				t.Errorf("results diverge with spans on\noff: %+v\non:  %+v", offRes, onRes)
 			}
@@ -136,33 +76,24 @@ func TestSpansOffInvisible(t *testing.T) {
 // TestSpanEquivalenceMatrix is the determinism contract for the span
 // stream itself: the sampler keys on (core, warp, per-core sequence)
 // and stamps only at cycles the simulation already visits, so the span
-// JSONL — and everything else — must be byte-identical across the full
-// shards x skip grid.
+// JSONL — and everything else — must be byte-identical with cycle
+// skipping on and off.
 func TestSpanEquivalenceMatrix(t *testing.T) {
-	grid := []struct {
-		shards int
-		noskip bool
-	}{
-		{1, true}, {4, false}, {4, true}, {8, false}, {8, true},
-	}
 	for _, tc := range spanConfigs(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			refRes, refStreams := runSpans(t, tc.opts, 1, false, true)
+			refRes, refStreams := runStreams(t, tc.opts, false, true)
 			if refStreams["spans"] == "" {
 				t.Fatal("reference run produced an empty span stream")
 			}
-			for _, g := range grid {
-				label := fmt.Sprintf("shards=%d noskip=%v", g.shards, g.noskip)
-				res, streams := runSpans(t, tc.opts, g.shards, g.noskip, true)
-				if !reflect.DeepEqual(res, refRes) {
-					t.Errorf("%s: Result diverges from the serial reference", label)
-				}
-				for name, ref := range refStreams {
-					if streams[name] != ref {
-						t.Errorf("%s: %s stream diverges from the serial reference", label, name)
-					}
+			res, streams := runStreams(t, tc.opts, true, true)
+			if !reflect.DeepEqual(res, refRes) {
+				t.Error("noskip: Result diverges from the skipping reference")
+			}
+			for name, ref := range refStreams {
+				if streams[name] != ref {
+					t.Errorf("noskip: %s stream diverges from the skipping reference", name)
 				}
 			}
 		})

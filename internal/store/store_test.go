@@ -235,10 +235,9 @@ func TestFingerprintStability(t *testing.T) {
 	}
 	// Pure wall-clock / observability knobs must NOT move it.
 	o5 := o
-	o5.Shards = 8
 	o5.NoCycleSkip = true
 	if got := mustFingerprint(t, "k", o5); got != a {
-		t.Fatal("byte-identity-neutral knobs (Shards, NoCycleSkip) moved the fingerprint")
+		t.Fatal("byte-identity-neutral knob NoCycleSkip moved the fingerprint")
 	}
 }
 
