@@ -39,29 +39,29 @@ bench:
 
 # Prefetch attribution demo: run the GS-table sweep with per-(source, PC)
 # lifecycle attribution enabled, then render the per-source summary and
-# per-PC breakdown with cmd/pfstat. Leaves the raw JSONL in
-# pfreport.jsonl for further post-processing (e.g. pfstat -run REGEX).
+# per-PC breakdown with mtstat pf. Leaves the raw JSONL in
+# pfreport.jsonl for further post-processing (e.g. mtstat pf -run REGEX).
 pfreport:
 	$(GO) run ./cmd/mtpref -waves 1 -pfreport pfreport.jsonl run gstable > /dev/null
-	$(GO) run ./cmd/pfstat -bypc pfreport.jsonl
+	$(GO) run ./cmd/mtstat pf -bypc pfreport.jsonl
 
 # Cycle-accounting demo: run the GS-table sweep with CPI stacks enabled,
 # then render the per-run breakdown (each bucket's share of all
-# core-cycles) with cmd/cpistat. Leaves the raw JSONL in cpistack.jsonl
-# for further post-processing (e.g. cpistat -bycore, or the epoch time
+# core-cycles) with mtstat cpi. Leaves the raw JSONL in cpistack.jsonl
+# for further post-processing (e.g. mtstat cpi -bycore, or the epoch time
 # series under the "cpiepoch"/"cpitol" records).
 cpistack:
 	$(GO) run ./cmd/mtpref -waves 1 -cpistack cpistack.jsonl run gstable > /dev/null
-	$(GO) run ./cmd/cpistat cpistack.jsonl
+	$(GO) run ./cmd/mtstat cpi cpistack.jsonl
 
 # Span-tracing demo: run the GS-table sweep with request span sampling
 # enabled, then render the per-source latency waterfall (where each
 # sampled request's end-to-end cycles went: MRQ, NoC, DRAM queueing,
-# DRAM service, response NoC) with cmd/spanstat. Leaves the raw JSONL in
-# spans.jsonl for further post-processing (e.g. spanstat -byrun).
+# DRAM service, response NoC) with mtstat span. Leaves the raw JSONL in
+# spans.jsonl for further post-processing (e.g. mtstat span -byrun).
 spans:
 	$(GO) run ./cmd/mtpref -waves 1 -spans spans.jsonl run gstable > /dev/null
-	$(GO) run ./cmd/spanstat spans.jsonl
+	$(GO) run ./cmd/mtstat span spans.jsonl
 
 # Full-output golden: regenerate every table of the paper's evaluation
 # and diff it against the committed results_reference.txt. Only the
@@ -83,7 +83,11 @@ bench-parallel:
 # rate (cycles/s), allocation counts, the fraction of cycles the
 # event-driven skipper elided, and the paired skip-vs-noskip wall-clock
 # speedup per memory-intensive benchmark. Override BENCHTIME=1x for a
-# CI smoke run; the default gives stable ratios on an idle machine.
+# CI smoke run. The default 3x keeps a run short, and allocs/op and skip
+# fractions are exact at any BENCHTIME, but single wall-clock rows at 3x
+# are noise-dominated on a small host (conv/skip has measured slower than
+# conv/noskip while visiting 18% fewer cycles): a per-row speed claim
+# needs a larger BENCHTIME or the spread of repeated runs.
 BENCHTIME ?= 3x
 bench-core:
 	$(GO) test -bench='CoreRun|CoreSkipSpeedup' -benchmem -run=^$$ -benchtime=$(BENCHTIME) . > bench_core.tmp

@@ -19,14 +19,14 @@
 //	-metrics FILE   write per-epoch time series as JSONL (one line per run per epoch)
 //	-trace FILE     write a Chrome trace-event JSON (load in Perfetto / chrome://tracing)
 //	-pfreport FILE  write per-run prefetch attribution (per-source/per-PC
-//	                outcome counts) as JSONL; post-process with cmd/pfstat
+//	                outcome counts) as JSONL; post-process with mtstat pf
 //	-cpistack FILE  write per-run CPI stacks (cycle accounting: where every
 //	                core-cycle went) and latency-tolerance snapshots as
-//	                JSONL; post-process with cmd/cpistat
+//	                JSONL; post-process with mtstat cpi
 //	-spans FILE     write request-level span records (a deterministic sample
 //	                of memory requests with per-stage latency decomposition:
 //	                MRQ wait, NoC transit, DRAM queueing and service) as
-//	                JSONL; post-process with cmd/spanstat. With -trace, the
+//	                JSONL; post-process with mtstat span. With -trace, the
 //	                trace additionally carries one flow arc per sampled fill
 //	-span-every N   span sampling divisor: one in N eligible requests is
 //	                sampled (default 32); sampling is deterministic and
@@ -183,9 +183,9 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&c.csvDir, "csv", "", "directory to write per-table CSV files into")
 	fs.StringVar(&c.metricsPath, "metrics", "", "JSONL file for per-epoch metric samples")
 	fs.StringVar(&c.tracePath, "trace", "", "Chrome trace-event JSON file")
-	fs.StringVar(&c.pfPath, "pfreport", "", "JSONL file for per-run prefetch attribution (see cmd/pfstat)")
-	fs.StringVar(&c.cpiPath, "cpistack", "", "JSONL file for per-run CPI stacks and latency tolerance (see cmd/cpistat)")
-	fs.StringVar(&c.spanPath, "spans", "", "JSONL file for per-run request span records (see cmd/spanstat)")
+	fs.StringVar(&c.pfPath, "pfreport", "", "JSONL file for per-run prefetch attribution (see mtstat pf)")
+	fs.StringVar(&c.cpiPath, "cpistack", "", "JSONL file for per-run CPI stacks and latency tolerance (see mtstat cpi)")
+	fs.StringVar(&c.spanPath, "spans", "", "JSONL file for per-run request span records (see mtstat span)")
 	fs.Uint64Var(&c.spanEvery, "span-every", obs.DefaultSpanEvery, "span sampling divisor: one in N eligible requests is sampled")
 	fs.StringVar(&c.httpAddr, "http", "", "address for the live-introspection debug server (e.g. :6060)")
 	fs.IntVar(&c.httpSnaps, "http-snapshots", harness.DefaultSnapshotKeep, "finished-run metrics snapshots kept on the debug server")

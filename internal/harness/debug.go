@@ -459,7 +459,7 @@ func (d *DebugServer) serveTolerance(w http.ResponseWriter, _ *http.Request) {
 
 // serveSpans renders the live latency waterfall of every run that
 // attached span tracing (RunLive), in submission order, as plain text —
-// the same per-source table cmd/spanstat renders from the JSONL.
+// the same per-source table mtstat span renders from the JSONL.
 // Finished runs keep their final waterfall.
 func (d *DebugServer) serveSpans(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()

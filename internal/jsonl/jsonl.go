@@ -1,9 +1,9 @@
 // Package jsonl provides a line reader for JSONL streams with no upper
-// bound on line length. The analysis tools (cmd/pfstat, cmd/cpistat)
-// used bufio.Scanner with a fixed maximum buffer, which fails with
-// "token too long" once a record — e.g. a per-PC table serialized for a
-// large sweep — outgrows it; this reader grows its buffer to whatever
-// the longest line needs instead of failing.
+// bound on line length, which cmd/mtstat reads every stream through.
+// bufio.Scanner with a fixed maximum buffer fails with "token too long"
+// once a record — e.g. a per-PC table serialized for a large sweep —
+// outgrows it; this reader grows its buffer to whatever the longest
+// line needs instead of failing.
 package jsonl
 
 import (

@@ -263,9 +263,9 @@ func (p *CPIStack) CheckConservation(cycle, cyclesPerCore uint64) error {
 	return nil
 }
 
-// cpiBuckets is the shared JSONL bucket layout; field order is the wire
+// CPIBuckets is the shared JSONL bucket layout; field order is the wire
 // order.
-type cpiBuckets struct {
+type CPIBuckets struct {
 	Issued     uint64 `json:"issued"`
 	Idle       uint64 `json:"idle"`
 	Scoreboard uint64 `json:"scoreboard"`
@@ -274,8 +274,8 @@ type cpiBuckets struct {
 	Drain      uint64 `json:"drain"`
 }
 
-func toBuckets(b [NumBuckets]uint64) cpiBuckets {
-	return cpiBuckets{
+func toBuckets(b [NumBuckets]uint64) CPIBuckets {
+	return CPIBuckets{
 		Issued:     b[BucketIssued],
 		Idle:       b[BucketIdle],
 		Scoreboard: b[BucketScoreboard],
@@ -285,12 +285,25 @@ func toBuckets(b [NumBuckets]uint64) cpiBuckets {
 	}
 }
 
+// Array returns the buckets indexed by Bucket, the inverse of the
+// layout WriteJSONL emits.
+func (c CPIBuckets) Array() [NumBuckets]uint64 {
+	var b [NumBuckets]uint64
+	b[BucketIssued] = c.Issued
+	b[BucketIdle] = c.Idle
+	b[BucketScoreboard] = c.Scoreboard
+	b[BucketMRQFull] = c.MRQFull
+	b[BucketThrottled] = c.Throttled
+	b[BucketDrain] = c.Drain
+	return b
+}
+
 // cpiEpochRec is the JSONL schema of one epoch's machine-wide deltas.
 type cpiEpochRec struct {
 	Record string `json:"record"`
 	Run    string `json:"run,omitempty"`
 	Cycle  uint64 `json:"cycle"`
-	cpiBuckets
+	CPIBuckets
 }
 
 // cpiTolRec is the JSONL schema of one core's tolerance snapshot at an
@@ -302,13 +315,14 @@ type cpiTolRec struct {
 	Tolerance
 }
 
-// cpiCoreRec is the JSONL schema of one core's lifetime CPI stack.
-type cpiCoreRec struct {
+// CPICoreRecord is the JSONL schema of one core's lifetime CPI stack,
+// the "cpistack" line.
+type CPICoreRecord struct {
 	Record string `json:"record"`
 	Run    string `json:"run,omitempty"`
 	Core   int    `json:"core"`
 	Cycles uint64 `json:"cycles"`
-	cpiBuckets
+	CPIBuckets
 }
 
 // cpiSummary is the per-run trailer with machine-wide totals.
@@ -317,7 +331,7 @@ type cpiSummary struct {
 	Run    string `json:"run,omitempty"`
 	Cores  int    `json:"cores"`
 	Cycles uint64 `json:"cycles"`
-	cpiBuckets
+	CPIBuckets
 }
 
 // WriteJSONL emits the epoch time series ("cpiepoch" lines with their
@@ -330,7 +344,7 @@ func (p *CPIStack) WriteJSONL(w io.Writer, run string) error {
 	enc := json.NewEncoder(w)
 	for _, e := range p.epochs {
 		if err := enc.Encode(cpiEpochRec{Record: "cpiepoch", Run: run,
-			Cycle: e.Cycle, cpiBuckets: toBuckets(e.Buckets)}); err != nil {
+			Cycle: e.Cycle, CPIBuckets: toBuckets(e.Buckets)}); err != nil {
 			return err
 		}
 		for _, t := range e.Tol {
@@ -343,13 +357,13 @@ func (p *CPIStack) WriteJSONL(w io.Writer, run string) error {
 	sum := cpiSummary{Record: "cpisummary", Run: run, Cores: len(p.cores)}
 	for i, c := range p.cores {
 		cyc := c.Cycles()
-		if err := enc.Encode(cpiCoreRec{Record: "cpistack", Run: run, Core: i,
-			Cycles: cyc, cpiBuckets: toBuckets(c.Buckets)}); err != nil {
+		if err := enc.Encode(CPICoreRecord{Record: "cpistack", Run: run, Core: i,
+			Cycles: cyc, CPIBuckets: toBuckets(c.Buckets)}); err != nil {
 			return err
 		}
 		sum.Cycles += cyc
 	}
-	sum.cpiBuckets = toBuckets(p.Totals())
+	sum.CPIBuckets = toBuckets(p.Totals())
 	return enc.Encode(sum)
 }
 

@@ -278,6 +278,40 @@ func sinkObserver(s *Sink, cycles uint64) *Observer {
 	return o
 }
 
+// TestSinkCaptureMatchesFinish: Capture names every enabled stream, in
+// stream order, even when the observer lacks the component (a -metrics
+// sink with sampling off), so a stored run always carries the blobs the
+// store asks for; and Finish appends exactly the captured bytes.
+func TestSinkCaptureMatchesFinish(t *testing.T) {
+	var mbuf, pbuf bytes.Buffer
+	s, err := NewSink(&mbuf, nil, &pbuf, nil, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Streams(); len(got) != 2 || got[0] != "metrics" || got[1] != "pfreport" {
+		t.Fatalf("Streams() = %q, want [metrics pfreport]", got)
+	}
+	o := s.Observer()
+	if o.Sampler != nil {
+		t.Fatal("sampling is off, yet the observer has a sampler")
+	}
+	o.PF.Add(PFKey{}, PFCounts{Generated: 1, DroppedThrottle: 1})
+	art, err := s.Capture("k", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := art["metrics"]; !ok || len(b) != 0 {
+		t.Errorf("metrics artifact = %q (present %v), want present and empty", b, ok)
+	}
+	if err := s.Finish("k", o); err != nil {
+		t.Fatal(err)
+	}
+	if mbuf.Len() != 0 || !bytes.Equal(pbuf.Bytes(), art["pfreport"]) || pbuf.Len() == 0 {
+		t.Errorf("Finish wrote metrics %q, pfreport %q; want nothing and the captured %q",
+			mbuf.String(), pbuf.String(), art["pfreport"])
+	}
+}
+
 func TestSinkConcurrentFinish(t *testing.T) {
 	var mbuf, tbuf bytes.Buffer
 	s, err := NewSink(&mbuf, &tbuf, nil, nil, nil, Config{SampleEvery: 10})

@@ -19,27 +19,48 @@ type PFKey struct {
 
 // PFCounts is one bucket's lifecycle ledger. The pre-issue drops plus
 // Issued partition Generated; the post-issue terminals partition Issued —
-// the two conservation identities CheckConservation verifies.
+// the two conservation identities CheckConservation verifies. The JSON
+// tags are the "pfreport" wire names; PFRecord embeds PFCounts, so field
+// order is the wire order.
 type PFCounts struct {
-	Generated uint64 // candidates emitted by the prefetcher
+	Generated uint64 `json:"generated"` // candidates emitted by the prefetcher
 
-	DroppedThrottle  uint64 // rejected by the throttle engine
-	DroppedFilter    uint64 // rejected by the pollution filter
-	DroppedInCache   uint64 // block already in the prefetch cache
-	DroppedQueueFull uint64 // MRQ full
-	MergedMRQ        uint64 // folded into an outstanding entry
+	DroppedThrottle  uint64 `json:"dropped_throttle"`   // rejected by the throttle engine
+	DroppedFilter    uint64 `json:"dropped_filter"`     // rejected by the pollution filter
+	DroppedInCache   uint64 `json:"dropped_in_cache"`   // block already in the prefetch cache
+	DroppedQueueFull uint64 `json:"dropped_queue_full"` // MRQ full
+	MergedMRQ        uint64 `json:"merged_mrq"`         // folded into an outstanding entry
 
-	Issued uint64 // sent to memory
+	Issued uint64 `json:"issued"` // sent to memory
 
-	Late          uint64 // demand merged into the in-flight prefetch
-	Redundant     uint64 // fill found the block already resident
-	Useful        uint64 // filled block served a demand before eviction
-	EarlyEvicted  uint64 // evicted or invalidated before first use (Eq. 5)
-	UnusedAtDrain uint64 // resident and unused when the run ended
+	Late          uint64 `json:"late"`            // demand merged into the in-flight prefetch
+	Redundant     uint64 `json:"redundant"`       // fill found the block already resident
+	Useful        uint64 `json:"useful"`          // filled block served a demand before eviction
+	EarlyEvicted  uint64 `json:"early_evicted"`   // evicted or invalidated before first use (Eq. 5)
+	UnusedAtDrain uint64 `json:"unused_at_drain"` // resident and unused when the run ended
 
-	Hits         uint64 // prefetch-cache demand hits on this bucket's lines
-	DemandMerges uint64 // intra-core demand-into-prefetch merges (Eq. 6 view)
-	DegreeSum    uint64 // sum of throttle degrees at issue (mean = DegreeSum/Issued)
+	Hits         uint64 `json:"hits"`          // prefetch-cache demand hits on this bucket's lines
+	DemandMerges uint64 `json:"demand_merges"` // intra-core demand-into-prefetch merges (Eq. 6 view)
+	DegreeSum    uint64 `json:"degree_sum"`    // sum of throttle degrees at issue (mean = DegreeSum/Issued)
+}
+
+// Add accumulates o's counts into c.
+func (c *PFCounts) Add(o *PFCounts) {
+	c.Generated += o.Generated
+	c.DroppedThrottle += o.DroppedThrottle
+	c.DroppedFilter += o.DroppedFilter
+	c.DroppedInCache += o.DroppedInCache
+	c.DroppedQueueFull += o.DroppedQueueFull
+	c.MergedMRQ += o.MergedMRQ
+	c.Issued += o.Issued
+	c.Late += o.Late
+	c.Redundant += o.Redundant
+	c.Useful += o.Useful
+	c.EarlyEvicted += o.EarlyEvicted
+	c.UnusedAtDrain += o.UnusedAtDrain
+	c.Hits += o.Hits
+	c.DemandMerges += o.DemandMerges
+	c.DegreeSum += o.DegreeSum
 }
 
 // dropped sums the pre-issue drops.
@@ -155,7 +176,7 @@ func (p *PFReport) DemandMerge(prov memreq.Provenance) {
 }
 
 // Add merges one bucket's counts into the report. It exists for
-// post-processors (cmd/pfstat) that rebuild reports from JSONL records,
+// post-processors (mtstat pf) that rebuild reports from JSONL records,
 // e.g. to aggregate a sweep's runs into one table.
 func (p *PFReport) Add(k PFKey, c PFCounts) {
 	if p == nil {
@@ -166,21 +187,7 @@ func (p *PFReport) Add(k PFKey, c PFCounts) {
 		b = &PFCounts{}
 		p.m[k] = b
 	}
-	b.Generated += c.Generated
-	b.DroppedThrottle += c.DroppedThrottle
-	b.DroppedFilter += c.DroppedFilter
-	b.DroppedInCache += c.DroppedInCache
-	b.DroppedQueueFull += c.DroppedQueueFull
-	b.MergedMRQ += c.MergedMRQ
-	b.Issued += c.Issued
-	b.Late += c.Late
-	b.Redundant += c.Redundant
-	b.Useful += c.Useful
-	b.EarlyEvicted += c.EarlyEvicted
-	b.UnusedAtDrain += c.UnusedAtDrain
-	b.Hits += c.Hits
-	b.DemandMerges += c.DemandMerges
-	b.DegreeSum += c.DegreeSum
+	b.Add(&c)
 }
 
 // AddDemandTransactions accumulates the coverage denominator, for
@@ -260,34 +267,19 @@ func (p *PFReport) CheckConservation(cycle uint64) error {
 	return nil
 }
 
-// pfRecord is the JSONL schema of one bucket; field order is the wire
-// order.
-type pfRecord struct {
+// PFRecord is the JSONL schema of one "pfreport" bucket line; field
+// order is the wire order.
+type PFRecord struct {
 	Record string `json:"record"`
 	Run    string `json:"run,omitempty"`
 	Source string `json:"source"`
 	PC     int32  `json:"pc"`
-
-	Generated        uint64 `json:"generated"`
-	DroppedThrottle  uint64 `json:"dropped_throttle"`
-	DroppedFilter    uint64 `json:"dropped_filter"`
-	DroppedInCache   uint64 `json:"dropped_in_cache"`
-	DroppedQueueFull uint64 `json:"dropped_queue_full"`
-	MergedMRQ        uint64 `json:"merged_mrq"`
-	Issued           uint64 `json:"issued"`
-	Late             uint64 `json:"late"`
-	Redundant        uint64 `json:"redundant"`
-	Useful           uint64 `json:"useful"`
-	EarlyEvicted     uint64 `json:"early_evicted"`
-	UnusedAtDrain    uint64 `json:"unused_at_drain"`
-	Hits             uint64 `json:"hits"`
-	DemandMerges     uint64 `json:"demand_merges"`
-	DegreeSum        uint64 `json:"degree_sum"`
+	PFCounts
 }
 
-// pfSummary is the JSONL schema of the per-run trailer line carrying the
-// coverage denominator and run-wide totals.
-type pfSummary struct {
+// PFSummary is the JSONL schema of the per-run "pfsummary" trailer
+// carrying the coverage denominator and run-wide totals.
+type PFSummary struct {
 	Record             string `json:"record"`
 	Run                string `json:"run,omitempty"`
 	DemandTransactions uint64 `json:"demand_transactions"`
@@ -306,27 +298,10 @@ func (p *PFReport) WriteJSONL(w io.Writer, run string) error {
 		return nil
 	}
 	enc := json.NewEncoder(w)
-	var sum pfSummary
+	var sum PFSummary
 	for _, k := range p.keys() {
 		c := p.m[k]
-		rec := pfRecord{
-			Record: "pfreport", Run: run, Source: k.Source.String(), PC: k.PC,
-			Generated:        c.Generated,
-			DroppedThrottle:  c.DroppedThrottle,
-			DroppedFilter:    c.DroppedFilter,
-			DroppedInCache:   c.DroppedInCache,
-			DroppedQueueFull: c.DroppedQueueFull,
-			MergedMRQ:        c.MergedMRQ,
-			Issued:           c.Issued,
-			Late:             c.Late,
-			Redundant:        c.Redundant,
-			Useful:           c.Useful,
-			EarlyEvicted:     c.EarlyEvicted,
-			UnusedAtDrain:    c.UnusedAtDrain,
-			Hits:             c.Hits,
-			DemandMerges:     c.DemandMerges,
-			DegreeSum:        c.DegreeSum,
-		}
+		rec := PFRecord{Record: "pfreport", Run: run, Source: k.Source.String(), PC: k.PC, PFCounts: *c}
 		if err := enc.Encode(rec); err != nil {
 			return err
 		}

@@ -119,6 +119,14 @@ func TestPFReportJSONL(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("got %d JSONL lines, want 2 buckets + 1 summary:\n%s", len(lines), buf.String())
 	}
+	// The wire bytes are pinned: PFRecord embeds PFCounts, whose fields
+	// encoding/json flattens in declaration order after the envelope.
+	if want := `{"record":"pfreport","run":"run1","source":"pws","pc":3,"generated":1,` +
+		`"dropped_throttle":0,"dropped_filter":0,"dropped_in_cache":0,"dropped_queue_full":0,` +
+		`"merged_mrq":0,"issued":1,"late":1,"redundant":0,"useful":0,"early_evicted":0,` +
+		`"unused_at_drain":0,"hits":0,"demand_merges":0,"degree_sum":2}`; lines[0] != want {
+		t.Errorf("first line bytes:\n got %s\nwant %s", lines[0], want)
+	}
 	var first struct {
 		Record, Run, Source string
 		PC                  int32

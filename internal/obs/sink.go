@@ -7,16 +7,16 @@ import (
 	"sync"
 )
 
-// Sink fans a sequence of simulation runs into shared output files: a
-// JSONL metrics file (one line per run per epoch) and a single Chrome
-// trace file in which each run is one process. The experiment harness
-// holds one Sink per invocation and attaches an Observer to every
-// simulation it launches.
+// Sink fans a sequence of simulation runs into shared output files: up
+// to four per-run JSONL streams (metrics, pfreport, cpistack, spans)
+// and a single Chrome trace file in which each run is one process. The
+// experiment harness holds one Sink per invocation and attaches an
+// Observer to every simulation it launches.
 //
 // Sink is safe for concurrent use: the parallel harness finishes runs
-// from many goroutines. Each run's metrics lines are buffered and
-// flushed as one atomic write, and its trace events are appended under
-// the sink lock, so concurrent runs never interleave inside each
+// from many goroutines. Each run's records are buffered per stream and
+// flushed as one write per stream, and its trace events are appended
+// under the sink lock, so concurrent runs never interleave inside each
 // other's records. Finish is idempotent per run key — a retried or
 // duplicated completion records nothing the second time.
 //
@@ -26,25 +26,44 @@ import (
 type Sink struct {
 	cfg Config
 
-	mu       sync.Mutex
-	metrics  io.Writer
-	trace    *TraceWriter
-	pfreport io.Writer
-	cpistack io.Writer
-	spans    io.Writer
-	runs     int
-	done     map[string]bool
-	closed   bool
+	mu      sync.Mutex
+	trace   *TraceWriter
+	streams []stream // enabled JSONL streams, in output order
+	runs    int
+	done    map[string]bool
+	closed  bool
+}
+
+// stream is one per-run JSONL output: its artifact name, the shared
+// file, and how a run's observer renders into it. Every component's
+// WriteJSONL is nil-safe, so a run whose observer lacks the component
+// (a -metrics sink with sampling off) records an empty blob.
+type stream struct {
+	name   string
+	w      io.Writer
+	render func(o *Observer, w io.Writer, run string) error
 }
 
 // NewSink builds a sink. metrics, trace, pfreport, cpistack, and spans
 // may each be nil to disable that output; when all are nil the sink
 // itself is nil (disabled).
 func NewSink(metrics, trace, pfreport, cpistack, spans io.Writer, cfg Config) (*Sink, error) {
-	if metrics == nil && trace == nil && pfreport == nil && cpistack == nil && spans == nil {
+	s := &Sink{cfg: cfg, done: make(map[string]bool)}
+	for _, st := range []stream{
+		{"metrics", metrics, func(o *Observer, w io.Writer, run string) error {
+			return o.Sampler.WriteJSONL(w, map[string]string{"run": run})
+		}},
+		{"pfreport", pfreport, func(o *Observer, w io.Writer, run string) error { return o.PF.WriteJSONL(w, run) }},
+		{"cpistack", cpistack, func(o *Observer, w io.Writer, run string) error { return o.CPI.WriteJSONL(w, run) }},
+		{"spans", spans, func(o *Observer, w io.Writer, run string) error { return o.Spans.WriteJSONL(w, run) }},
+	} {
+		if st.w != nil {
+			s.streams = append(s.streams, st)
+		}
+	}
+	if trace == nil && len(s.streams) == 0 {
 		return nil, nil
 	}
-	s := &Sink{cfg: cfg, metrics: metrics, pfreport: pfreport, cpistack: cpistack, spans: spans, done: make(map[string]bool)}
 	if metrics == nil {
 		s.cfg.SampleEvery = 0
 	}
@@ -84,17 +103,8 @@ func (s *Sink) Streams() []string {
 		return nil
 	}
 	var out []string
-	if s.metrics != nil {
-		out = append(out, "metrics")
-	}
-	if s.pfreport != nil {
-		out = append(out, "pfreport")
-	}
-	if s.cpistack != nil {
-		out = append(out, "cpistack")
-	}
-	if s.spans != nil {
-		out = append(out, "spans")
+	for _, st := range s.streams {
+		out = append(out, st.name)
 	}
 	return out
 }
@@ -115,33 +125,12 @@ func (s *Sink) Capture(runKey string, o *Observer) (map[string][]byte, error) {
 		return nil, nil
 	}
 	out := make(map[string][]byte)
-	if s.metrics != nil && o.Sampler != nil {
+	for _, st := range s.streams {
 		var buf bytes.Buffer
-		if err := o.Sampler.WriteJSONL(&buf, map[string]string{"run": runKey}); err != nil {
-			return nil, fmt.Errorf("obs: capture metrics for %s: %w", runKey, err)
+		if err := st.render(o, &buf, runKey); err != nil {
+			return nil, fmt.Errorf("obs: %s for %s: %w", st.name, runKey, err)
 		}
-		out["metrics"] = buf.Bytes()
-	}
-	if s.pfreport != nil && o.PF != nil {
-		var buf bytes.Buffer
-		if err := o.PF.WriteJSONL(&buf, runKey); err != nil {
-			return nil, fmt.Errorf("obs: capture pfreport for %s: %w", runKey, err)
-		}
-		out["pfreport"] = buf.Bytes()
-	}
-	if s.cpistack != nil && o.CPI != nil {
-		var buf bytes.Buffer
-		if err := o.CPI.WriteJSONL(&buf, runKey); err != nil {
-			return nil, fmt.Errorf("obs: capture cpistack for %s: %w", runKey, err)
-		}
-		out["cpistack"] = buf.Bytes()
-	}
-	if s.spans != nil && o.Spans != nil {
-		var buf bytes.Buffer
-		if err := o.Spans.WriteJSONL(&buf, runKey); err != nil {
-			return nil, fmt.Errorf("obs: capture spans for %s: %w", runKey, err)
-		}
-		out["spans"] = buf.Bytes()
+		out[st.name] = buf.Bytes()
 	}
 	return out, nil
 }
@@ -160,25 +149,15 @@ func (s *Sink) FinishStored(runKey string, artifacts map[string][]byte) error {
 		return nil
 	}
 	s.done[runKey] = true
-	for _, st := range []struct {
-		name string
-		w    io.Writer
-	}{{"metrics", s.metrics}, {"pfreport", s.pfreport}, {"cpistack", s.cpistack}, {"spans", s.spans}} {
-		if st.w == nil {
-			continue
-		}
-		if b, ok := artifacts[st.name]; ok && len(b) > 0 {
-			if _, err := st.w.Write(b); err != nil {
-				return fmt.Errorf("obs: stored %s for %s: %w", st.name, runKey, err)
-			}
-		}
+	if err := s.write(runKey, artifacts); err != nil {
+		return err
 	}
 	s.runs++
 	return nil
 }
 
 // Finish flushes one completed run's observer into the shared files,
-// tagging its metrics lines and trace process with the run key. A key
+// tagging its JSONL records and trace process with the run key. A key
 // that was already recorded (or a Finish after Close) is a no-op, so
 // memoised runs are recorded exactly once, under the key of their first
 // completed execution.
@@ -194,15 +173,12 @@ func (s *Sink) Finish(runKey string, o *Observer) error {
 	// Mark before writing: a failed write aborts the harness, and a
 	// retry must not append a second partial record to the shared files.
 	s.done[runKey] = true
-	if s.metrics != nil && o.Sampler != nil {
-		var buf bytes.Buffer
-		meta := map[string]string{"run": runKey}
-		if err := o.Sampler.WriteJSONL(&buf, meta); err != nil {
-			return fmt.Errorf("obs: metrics for %s: %w", runKey, err)
-		}
-		if _, err := s.metrics.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("obs: metrics for %s: %w", runKey, err)
-		}
+	artifacts, err := s.Capture(runKey, o)
+	if err != nil {
+		return err
+	}
+	if err := s.write(runKey, artifacts); err != nil {
+		return err
 	}
 	if s.trace != nil && o.Tracer != nil {
 		if err := s.trace.AddRun(s.runs, runKey, "core", o.Tracer); err != nil {
@@ -217,34 +193,20 @@ func (s *Sink) Finish(runKey string, o *Observer) error {
 			return fmt.Errorf("obs: span flows for %s: %w", runKey, err)
 		}
 	}
-	if s.pfreport != nil && o.PF != nil {
-		var buf bytes.Buffer
-		if err := o.PF.WriteJSONL(&buf, runKey); err != nil {
-			return fmt.Errorf("obs: pfreport for %s: %w", runKey, err)
-		}
-		if _, err := s.pfreport.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("obs: pfreport for %s: %w", runKey, err)
-		}
-	}
-	if s.cpistack != nil && o.CPI != nil {
-		var buf bytes.Buffer
-		if err := o.CPI.WriteJSONL(&buf, runKey); err != nil {
-			return fmt.Errorf("obs: cpistack for %s: %w", runKey, err)
-		}
-		if _, err := s.cpistack.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("obs: cpistack for %s: %w", runKey, err)
-		}
-	}
-	if s.spans != nil && o.Spans != nil {
-		var buf bytes.Buffer
-		if err := o.Spans.WriteJSONL(&buf, runKey); err != nil {
-			return fmt.Errorf("obs: spans for %s: %w", runKey, err)
-		}
-		if _, err := s.spans.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("obs: spans for %s: %w", runKey, err)
-		}
-	}
 	s.runs++
+	return nil
+}
+
+// write appends one run's artifact blobs to the enabled streams' shared
+// files, in stream order. The caller holds s.mu.
+func (s *Sink) write(runKey string, artifacts map[string][]byte) error {
+	for _, st := range s.streams {
+		if b := artifacts[st.name]; len(b) > 0 {
+			if _, err := st.w.Write(b); err != nil {
+				return fmt.Errorf("obs: %s for %s: %w", st.name, runKey, err)
+			}
+		}
+	}
 	return nil
 }
 

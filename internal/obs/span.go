@@ -394,9 +394,9 @@ func (ss *SpanSet) CheckConservation(cycle uint64, drained bool) error {
 	return nil
 }
 
-// spanRecord is the JSONL schema of one finished span; field order is
-// the wire order.
-type spanRecord struct {
+// SpanRecord is the JSONL schema of one finished span, the "span" line
+// WriteJSONL renders from a SpanRec; field order is the wire order.
+type SpanRecord struct {
 	Record      string `json:"record"`
 	Run         string `json:"run,omitempty"`
 	ID          uint64 `json:"id"`
@@ -450,7 +450,7 @@ func (ss *SpanSet) WriteJSONL(w io.Writer, run string) error {
 	enc := json.NewEncoder(w)
 	for _, rec := range ss.Records() {
 		st, total := rec.Stages()
-		out := spanRecord{
+		out := SpanRecord{
 			Record: "span", Run: run, ID: rec.ID,
 			Core: rec.Core, Warp: rec.Warp, PC: rec.PC,
 			Kind:        rec.Kind.String(),
